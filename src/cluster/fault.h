@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -11,9 +10,27 @@
 #include "metrics/record.h"
 #include "sim/random.h"
 #include "sim/time.h"
+#include "util/named_spec.h"
 #include "util/registry.h"
 
 namespace whisk::cluster {
+
+class FaultRegistry;
+
+// What a fault spec declares beyond the shared grammar (see
+// util::NamedSpec): "none" (the default) means no fault; other names
+// resolve against the FaultRegistry, keys against the process's params(),
+// and values are validated by constructing the process.
+struct FaultKind {
+  static constexpr std::string_view kLabel = "fault";
+  static constexpr std::string_view kDefaultName = "none";
+  static constexpr std::string_view kExample =
+      "crash-restart?mtbf-s=120&mttr-s=15";
+  static constexpr bool kReservesNone = true;
+  static const FaultRegistry& registry();
+  static util::ParamSchema schema(const std::string& canon);
+  static void check(const util::NamedSpec<FaultKind>& spec);
+};
 
 // One stochastic fault process by registry name plus named parameters — the
 // failure-model mirror of AutoscalerSpec:
@@ -21,47 +38,10 @@ namespace whisk::cluster {
 //   auto spec = FaultSpec::parse("crash-restart?mtbf-s=120&mttr-s=15");
 //   spec.to_string()  -> "crash-restart?mtbf-s=120&mttr-s=15"
 //
-// Grammar: name[?key=value[&key=value]...]. Names and keys are
-// case-insensitive; parameters are stored sorted so to_string() is canonical
-// and parse(to_string()) round-trips exactly. The reserved name "none" means
-// no fault and takes no parameters. normalized() resolves every other name
-// against the FaultRegistry and rejects unknown parameter keys with an error
-// that lists the process's valid keys.
-//
 // A deployment carries a *list* of fault specs (its `faults=` section);
 // parse_fault_list splits on ',' (and the grid-safe '+') and drops "none"
 // entries, so `faults=none` and an absent section mean the same thing.
-struct FaultSpec {
-  std::string name = "none";
-  std::map<std::string, std::string> params;
-
-  [[nodiscard]] static FaultSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-
-  // Abort with a name-listing error if the process or any parameter key is
-  // unknown; returns a copy with the name canonicalized, keys lowercased
-  // and values validated by a probe construction. "none" must carry no
-  // parameters.
-  [[nodiscard]] FaultSpec normalized() const;
-
-  [[nodiscard]] bool enabled() const { return name != "none"; }
-
-  [[nodiscard]] bool has(std::string_view key) const;
-  // Typed parameter access with a fallback for absent keys. Unparsable
-  // values abort, naming the process, the key and the offending value.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-  // Verbatim string parameter (e.g. group=big); empty when absent.
-  [[nodiscard]] std::string text(std::string_view key) const;
-
-  friend bool operator==(const FaultSpec& a, const FaultSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const FaultSpec& a, const FaultSpec& b) {
-    return !(a == b);
-  }
-};
+using FaultSpec = util::NamedSpec<FaultKind>;
 
 // Parse a ','/'+'-separated fault list ("none" or empty -> no faults).
 [[nodiscard]] std::vector<FaultSpec> parse_fault_list(std::string_view text);
@@ -69,14 +49,6 @@ struct FaultSpec {
 // '+' inside campaign-axis items); an empty list renders as "none".
 [[nodiscard]] std::string fault_list_to_string(
     const std::vector<FaultSpec>& faults, char sep);
-
-// One declared parameter of a registered fault process; surfaced by the
-// unknown-key diagnostics and by `whisk_sweep --list` / fault_catalog.
-struct FaultParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
-};
 
 // The cluster-side surface a fault process acts through. Implemented by
 // Cluster; processes never touch nodes directly, so every mutation funnels
@@ -139,7 +111,9 @@ class FaultProcess {
   // Canonical registry name ("crash-restart", "flap", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::string help() const = 0;
-  [[nodiscard]] virtual std::vector<FaultParam> params() const { return {}; }
+  [[nodiscard]] virtual std::vector<util::Param> params() const {
+    return {};
+  }
 
   // True when the process can fail nodes — the cluster then enables
   // per-call in-flight tracking so interrupted calls can be re-submitted.

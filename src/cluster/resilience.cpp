@@ -1,12 +1,11 @@
 #include "cluster/resilience.h"
 
 #include "util/check.h"
-#include "util/parse.h"
 
 namespace whisk::cluster {
 
-const std::vector<ResilienceParam>& resilience_params() {
-  static const auto* params = new std::vector<ResilienceParam>{
+const std::vector<util::Param>& resilience_params() {
+  static const auto* params = new std::vector<util::Param>{
       {"timeout-s", "0",
        "per-attempt controller timeout in seconds (0 = disabled)"},
       {"max-attempts", "4",
@@ -30,56 +29,21 @@ const std::vector<ResilienceParam>& resilience_params() {
 
 namespace {
 
-void check_known_key(const std::string& key, const std::string& raw) {
-  for (const auto& p : resilience_params()) {
-    if (p.name == key) return;
-  }
-  std::vector<std::string> names;
-  names.reserve(resilience_params().size());
-  for (const auto& p : resilience_params()) names.push_back(p.name);
-  WHISK_CHECK(false, ("resilience spec does not take parameter \"" + raw +
-                      "\"; valid parameters: " + util::join(names))
-                         .c_str());
+util::ParamSchema resilience_schema(const std::string&) {
+  return {resilience_params()};
 }
 
 }  // namespace
 
 ResilienceSpec ResilienceSpec::parse(std::string_view text) {
   ResilienceSpec spec;
-  const std::string_view trimmed = util::trim_ws(text);
-  if (trimmed.empty() || util::ascii_lower(trimmed) == "none") {
-    return spec;
-  }
-  util::parse_param_list(trimmed,
-                         "resilience spec \"" + std::string(text) + "\"",
-                         &spec.params);
+  spec.params = util::parse_param_only(kLabel, text);
   return spec.normalized();
-}
-
-std::string ResilienceSpec::to_string() const {
-  if (params.empty()) return "none";
-  std::string out;
-  char sep = 0;
-  for (const auto& [key, value] : params) {
-    if (sep) out += sep;
-    out += key;
-    out += '=';
-    out += value;
-    sep = '&';
-  }
-  return out;
 }
 
 ResilienceSpec ResilienceSpec::normalized() const {
   ResilienceSpec out;
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    WHISK_CHECK(out.params.count(key) == 0,
-                ("resilience spec sets parameter \"" + key + "\" twice")
-                    .c_str());
-    check_known_key(key, raw_key);
-    out.params[key] = value;
-  }
+  out.params = util::fold_params(kLabel, "", params, &resilience_schema);
   // Range checks go through the typed getters so a non-numeric value dies
   // with the standard diagnostic before the range text.
   const double timeout = out.number("timeout-s", 0.0);
@@ -103,35 +67,6 @@ ResilienceSpec ResilienceSpec::normalized() const {
   WHISK_CHECK(out.number("breaker-cooldown-s", 30.0) > 0.0,
               "resilience: breaker-cooldown-s must be > 0");
   return out;
-}
-
-bool ResilienceSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double ResilienceSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("resilience parameter " + std::string(key) + "=\"" +
-                        it->second + "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t ResilienceSpec::count(std::string_view key,
-                                  std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("resilience parameter " + std::string(key) + "=\"" +
-                        it->second + "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
 }
 
 }  // namespace whisk::cluster

@@ -1,25 +1,19 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/named_spec.h"
+
 namespace whisk::cluster {
 
-// One declared resilience knob; surfaced by `whisk_sweep --list` and
-// tools/fault_catalog next to the fault registry.
-struct ResilienceParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
-};
-
 // Every knob the controller-side resilience layer understands, with its
-// default and the value that disables it. A knob left at its default is
-// off, so an empty spec is exactly the pre-resilience controller.
-[[nodiscard]] const std::vector<ResilienceParam>& resilience_params();
+// default and the value that disables it; surfaced by `whisk_sweep --list`.
+// A knob left at its default is off, so an empty spec is exactly the
+// pre-resilience controller.
+[[nodiscard]] const std::vector<util::Param>& resilience_params();
 
 // The controller-side recovery policy of a deployment — the defensive
 // mirror of the `faults=` section, carried as `resilience=` in ClusterSpec:
@@ -29,7 +23,8 @@ struct ResilienceParam {
 //
 // Grammar: "none" (or empty) for no policy, else key=value[&key=value]...
 // with case-insensitive keys stored sorted, so to_string() is canonical and
-// parse(to_string()) round-trips. Unlike faults there is no registry of
+// parse(to_string()) round-trips — the params-only half of util::NamedSpec,
+// sharing its key fold and typed reads. Unlike faults there is no registry of
 // named policies: the mechanisms (timeout+retry, hedging, breaker,
 // shedding) compose, so the spec is one flat parameter set and each
 // mechanism arms only when its gating knob moves off the default.
@@ -58,10 +53,12 @@ struct ResilienceParam {
 //                      a fresh call is shed with a `shed` disposition when
 //                      every routable node is saturated. 0 disables.
 struct ResilienceSpec {
-  std::map<std::string, std::string> params;
+  util::ParamMap params;
 
   [[nodiscard]] static ResilienceSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
+  [[nodiscard]] std::string to_string() const {
+    return util::param_only_to_string(params);
+  }
 
   // Abort with a knob-listing error on an unknown key or an out-of-range
   // value; returns a copy with keys lowercased.
@@ -69,19 +66,23 @@ struct ResilienceSpec {
 
   [[nodiscard]] bool enabled() const { return !params.empty(); }
 
-  [[nodiscard]] bool has(std::string_view key) const;
+  [[nodiscard]] bool has(std::string_view key) const {
+    return util::param_has(params, key);
+  }
   // Typed access with the declared default as fallback; unparsable values
   // abort naming the key and offending text.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
+  [[nodiscard]] double number(std::string_view key, double fallback) const {
+    return util::param_number(params, key, fallback, kLabel, {});
+  }
   [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
+                                  std::size_t fallback) const {
+    return util::param_count(params, key, fallback, kLabel, {});
+  }
 
-  friend bool operator==(const ResilienceSpec& a, const ResilienceSpec& b) {
-    return a.params == b.params;
-  }
-  friend bool operator!=(const ResilienceSpec& a, const ResilienceSpec& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const ResilienceSpec&,
+                         const ResilienceSpec&) = default;
+
+  static constexpr std::string_view kLabel = "resilience spec";
 };
 
 }  // namespace whisk::cluster

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/named_spec.h"
 #include "util/registry.h"
 #include "workload/function.h"
 
@@ -19,50 +19,28 @@ using ContainerId = std::int64_t;
 
 inline constexpr ContainerId kInvalidContainer = -1;
 
+class KeepAlivePolicyRegistry;
+
+// What a keep-alive spec declares beyond the shared grammar (see
+// util::NamedSpec): names resolve against the KeepAlivePolicyRegistry,
+// keys against the policy's params(), and values are validated by
+// constructing the policy.
+struct KeepAliveKind {
+  static constexpr std::string_view kLabel = "keep-alive policy";
+  static constexpr std::string_view kDefaultName = "lru";
+  static constexpr std::string_view kExample = "ttl?idle-s=600";
+  static constexpr bool kReservesNone = false;
+  static const KeepAlivePolicyRegistry& registry();
+  static util::ParamSchema schema(const std::string& canon);
+  static void check(const util::NamedSpec<KeepAliveKind>& spec);
+};
+
 // A keep-alive policy by registry name plus named parameters — the
 // container-layer mirror of workload::ScenarioSpec:
 //
 //   auto spec = KeepAliveSpec::parse("ttl?idle-s=600");
 //   spec.to_string()  -> "ttl?idle-s=600"
-//
-// Grammar: name[?key=value[&key=value]...]. Names and keys are
-// case-insensitive; parameters are stored sorted so to_string() is
-// canonical and parse(to_string()) round-trips exactly. normalized()
-// resolves the name against the KeepAlivePolicyRegistry and rejects unknown
-// parameter keys with an error that lists the policy's valid keys.
-struct KeepAliveSpec {
-  std::string name = "lru";
-  std::map<std::string, std::string> params;
-
-  [[nodiscard]] static KeepAliveSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-
-  // Abort with a name-listing error if the policy or any parameter key is
-  // unknown; returns a copy with the name canonicalized and keys lowercased.
-  [[nodiscard]] KeepAliveSpec normalized() const;
-
-  [[nodiscard]] bool has(std::string_view key) const;
-  // Typed parameter access with a fallback for absent keys. Unparsable
-  // values abort, naming the policy, the key, and the offending value.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-
-  friend bool operator==(const KeepAliveSpec& a, const KeepAliveSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const KeepAliveSpec& a, const KeepAliveSpec& b) {
-    return !(a == b);
-  }
-};
-
-// One declared parameter of a registered keep-alive policy; surfaced by the
-// unknown-key diagnostics and by `whisk_sweep --list`.
-struct KeepAliveParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
-};
+using KeepAliveSpec = util::NamedSpec<KeepAliveKind>;
 
 // One idle-container eviction candidate, as the pool presents it to the
 // policy. Candidates are listed in the pool's internal free-pool order,
@@ -95,7 +73,7 @@ class KeepAlivePolicy {
 
   // Canonical registry name ("lru", "ttl", "pool-target", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::vector<KeepAliveParam> params() const {
+  [[nodiscard]] virtual std::vector<util::Param> params() const {
     return {};
   }
 

@@ -42,9 +42,8 @@ namespace whisk::util {
   return out;
 }
 
-// The `key=value[&key=value]...` tail of the established
-// "name[?params]" spec idiom (ScenarioSpec, KeepAliveSpec, ClusterSpec
-// groups). Keys are lowercased; values kept verbatim. Aborts — prefixing
+// The `key=value[&key=value]...` tail of the "name[?params]" spec idiom
+// (util::NamedSpec and ClusterSpec groups). Keys are lowercased; values kept verbatim. Aborts — prefixing
 // `context` — on a piece that is not key=value or a key set twice.
 inline void parse_param_list(std::string_view text,
                              const std::string& context,

@@ -55,15 +55,15 @@ std::size_t paper_total(const ScenarioSpec& spec, const ScenarioContext& ctx) {
   return static_cast<std::size_t>(1.1 * cores * intensity + 0.5);
 }
 
-const ScenarioParam kWindowParam{
+const util::Param kWindowParam{
     "window", "60", "burst duration in seconds", false};
-const ScenarioParam kIntensityParam{
+const util::Param kIntensityParam{
     "intensity", "experiment intensity",
     "load knob v: 1.1 * cores * v requests", false};
-const ScenarioParam kMixParam{
+const util::Param kMixParam{
     "mix", "round-robin",
     "function mix: round-robin | random | weighted", false};
-const ScenarioParam kWeightsParam{
+const util::Param kWeightsParam{
     "weights", "", "comma-separated per-function weights for mix=weighted",
     false};
 
@@ -120,7 +120,7 @@ class UniformScenario final : public ScenarioDef {
            "requests, the same number of calls per function, releases "
            "uniform over the window";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {kIntensityParam, kWindowParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
@@ -142,7 +142,7 @@ class FixedTotalScenario final : public ScenarioDef {
     return "an explicit request count split round-robin among the functions "
            "(the multi-node experiments' constant load, Sec. VIII)";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"total", "1320", "exact number of requests", false},
             kWindowParam};
   }
@@ -162,7 +162,7 @@ class FairnessScenario final : public ScenarioDef {
     return "the fairness burst (Sec. VII-D): exactly rare-calls calls of "
            "rare-function, the rest uniform over the other functions";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {kIntensityParam,
             {"rare-function", "dna-visualisation",
              "catalog name of the rare long function", false},
@@ -207,7 +207,7 @@ class PoissonScenario final : public ScenarioDef {
     return "homogeneous Poisson arrivals at a fixed rate, crossed with a "
            "configurable function mix";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"rate", "30", "mean arrivals per second", false}, kWindowParam,
             kMixParam, kWeightsParam};
   }
@@ -226,7 +226,7 @@ class BurstyScenario final : public ScenarioDef {
     return "two-state on-off arrivals (MMPP-2): Poisson bursts at rate-on "
            "during exponential ON phases, a rate-off trickle in between";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"rate-on", "120", "arrivals per second during ON phases",
              false},
             {"rate-off", "5", "arrivals per second during OFF phases (may "
@@ -253,7 +253,7 @@ class DiurnalScenario final : public ScenarioDef {
            "(an Azure-Functions-style diurnal cycle compressed into the "
            "window)";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"rate", "30", "mean arrivals per second over a full cycle",
              false},
             {"amplitude", "0.9", "peak-to-mean swing in [0, 1]", false},
@@ -279,7 +279,7 @@ class TraceScenario final : public ScenarioDef {
     return "replays a CSV call trace (release_seconds[,function] per line); "
            "rows without a function name are assigned by the mix";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"file", "", "path to the trace CSV", true},
             {"window", "last release", "burst duration; rows at or past it "
                                        "are dropped",

@@ -1,51 +1,32 @@
 #pragma once
 
-#include <cstddef>
-#include <map>
-#include <string>
 #include <string_view>
 
+#include "util/named_spec.h"
+#include "util/registry.h"
+
 namespace whisk::workload {
+
+class ScenarioDef;
+
+// What a workload scenario spec declares beyond the shared grammar (see
+// util::NamedSpec): names resolve against the ScenarioRegistry, keys against
+// the scenario's params(). Values are validated by generate().
+struct ScenarioKind {
+  static constexpr std::string_view kLabel = "scenario";
+  static constexpr std::string_view kDefaultName = "uniform";
+  static constexpr std::string_view kExample = "uniform?intensity=60";
+  static constexpr bool kReservesNone = false;
+  static const util::FactoryRegistry<ScenarioDef>& registry();
+  static util::ParamSchema schema(const std::string& canon);
+  static void check(const util::NamedSpec<ScenarioKind>& spec);
+};
 
 // A scenario by registry name plus named parameters — the workload-side
 // mirror of experiments::SchedulerSpec:
 //
 //   auto spec = ScenarioSpec::parse("uniform?intensity=60");
 //   spec.to_string()  -> "uniform?intensity=60"
-//
-// Grammar: name[?key=value[&key=value]...]. The name and the keys are
-// case-insensitive; values are kept verbatim (they may be file paths).
-// Parameters are stored sorted, so to_string() is canonical and
-// parse(to_string()) round-trips exactly. parse() and normalized() resolve
-// the name against the ScenarioRegistry (aliases, case) and reject unknown
-// parameter keys with an error that lists the scenario's valid keys.
-struct ScenarioSpec {
-  std::string name = "uniform";
-  std::map<std::string, std::string> params;
-
-  [[nodiscard]] static ScenarioSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-
-  // Abort with a name-listing error if the scenario or any parameter key is
-  // unknown; returns a copy with the name canonicalized and keys lowercased.
-  [[nodiscard]] ScenarioSpec normalized() const;
-
-  [[nodiscard]] bool has(std::string_view key) const;
-
-  // Typed parameter access with a fallback for absent keys. Unparsable
-  // values abort, naming the scenario, the key, and the offending value.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-  [[nodiscard]] std::string text(std::string_view key,
-                                 std::string_view fallback) const;
-
-  friend bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) {
-    return !(a == b);
-  }
-};
+using ScenarioSpec = util::NamedSpec<ScenarioKind>;
 
 }  // namespace whisk::workload

@@ -1,7 +1,6 @@
 #include "workload/workflow.h"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "util/check.h"
@@ -9,57 +8,6 @@
 
 namespace whisk::workload {
 namespace {
-
-// Probe-derived parameter tables per canonical shape name, cached exactly
-// like the fault registry's (registrations are append-only so entries never
-// go stale; mutex-guarded because campaign workers normalize specs
-// concurrently and map nodes give stable addresses).
-const std::vector<WorkflowParam>& workflow_params(const std::string& canon) {
-  static auto* mutex = new std::mutex();
-  static auto* cache = new std::map<std::string, std::vector<WorkflowParam>>();
-  std::lock_guard<std::mutex> lock(*mutex);
-  auto it = cache->find(canon);
-  if (it == cache->end()) {
-    const auto probe = WorkflowRegistry::instance().create(canon);
-    it = cache->emplace(canon, probe->params()).first;
-  }
-  return it->second;
-}
-
-// Lowercase, duplicate-check and declared-key-validate `params` for the
-// canonical shape `canon` — parameter *values* are validated by building
-// the DAG.
-std::map<std::string, std::string> fold_params(
-    const std::string& canon,
-    const std::map<std::string, std::string>& params) {
-  const auto& valid = workflow_params(canon);
-  std::map<std::string, std::string> out;
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    WHISK_CHECK(out.count(key) == 0, ("workflow \"" + canon +
-                                      "\" sets parameter \"" + key +
-                                      "\" twice")
-                                         .c_str());
-    bool known = false;
-    for (const auto& p : valid) {
-      if (p.name == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::vector<std::string> names;
-      names.reserve(valid.size());
-      for (const auto& p : valid) names.push_back(p.name);
-      WHISK_CHECK(false, ("workflow \"" + canon +
-                          "\" does not take parameter \"" + raw_key +
-                          "\"; valid parameters: " + util::join(names))
-                             .c_str());
-    }
-    out[key] = value;
-  }
-  return out;
-}
 
 // The shared `functions=root|rotate` knob: root (default) runs every stage
 // as the root call's function; rotate gives stage s function offset s, so
@@ -83,7 +31,7 @@ void apply_rotate(WorkflowDag* dag, bool rotate) {
   }
 }
 
-const WorkflowParam kFunctionsParam{
+const util::Param kFunctionsParam{
     "functions", "root",
     "stage functions: root (all run the root call's function) or rotate "
     "(stage s runs root+s mod catalog)"};
@@ -95,7 +43,7 @@ class ChainWorkflow final : public WorkflowDef {
   std::string help() const override {
     return "linear pipeline: each stage releases the next on completion";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"stages", "4", "number of stages in the chain (>= 1)"},
             kFunctionsParam};
   }
@@ -131,7 +79,7 @@ class FanoutWorkflow final : public WorkflowDef {
     return "scatter-gather: source fans out to `width` branches, a join "
            "waits for all (or k) of them";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"width", "4", "parallel branches between source and join"},
             {"join", "all",
              "branches the join waits for: all, or an integer k (k-of-n)"},
@@ -184,7 +132,7 @@ class DiamondWorkflow final : public WorkflowDef {
     return "src -> `width` asymmetric middle stages -> sink (functions "
            "rotate by default)";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"width", "2", "middle stages between source and sink"},
             {"functions", "rotate",
              "stage functions: root or rotate (default rotate: asymmetric "
@@ -228,7 +176,7 @@ class EdgeListWorkflow final : public WorkflowDef {
     return "explicit edge list: edges=a>b+a>c+b>d+c>d (joins wait for "
            "every predecessor)";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::Param> params() const override {
     return {{"edges", "a>b",
              "'+'- or ','-separated edges, each \"from>to\" (chains "
              "\"a>b>c\" allowed)"},
@@ -339,81 +287,16 @@ void register_builtin_workflows(WorkflowRegistry& registry) {
 
 }  // namespace
 
-WorkflowSpec WorkflowSpec::parse(std::string_view text) {
-  WHISK_CHECK(!util::trim_ws(text).empty(),
-              "empty workflow spec; expected \"name[?key=value[&...]]\" like "
-              "\"chain?stages=4\" or \"fanout?width=8&join=all\" (or "
-              "\"none\")");
-  WorkflowSpec spec;
-  const std::size_t q = text.find('?');
-  spec.name = std::string(util::trim_ws(text.substr(0, q)));
-  WHISK_CHECK(!spec.name.empty(), ("workflow spec \"" + std::string(text) +
-                                   "\" has an empty name before the '?'")
-                                      .c_str());
-  if (q != std::string_view::npos) {
-    util::parse_param_list(text.substr(q + 1),
-                           "workflow spec \"" + std::string(text) + "\"",
-                           &spec.params);
-  }
-  return spec.normalized();
+const WorkflowRegistry& WorkflowKind::registry() {
+  return WorkflowRegistry::instance();
 }
 
-std::string WorkflowSpec::to_string() const {
-  return util::render_params(name, params);
+util::ParamSchema WorkflowKind::schema(const std::string& canon) {
+  return {WorkflowRegistry::instance().create(canon)->params()};
 }
 
-WorkflowSpec WorkflowSpec::normalized() const {
-  WorkflowSpec out;
-  if (util::ascii_lower(name) == "none") {
-    WHISK_CHECK(params.empty(),
-                "workflow \"none\" takes no parameters; name a shape "
-                "(chain, fanout, diamond, dag) to configure one");
-    out.name = "none";
-    return out;
-  }
-  auto& registry = WorkflowRegistry::instance();
-  out.name = registry.resolve(name);
-  out.params = fold_params(out.name, params);
-  // Building the DAG validates the parameter *values* too, so a bad width
-  // or cyclic edge list dies at parse time, not mid-sweep.
-  (void)make_workflow_dag(out);
-  return out;
-}
-
-bool WorkflowSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double WorkflowSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("workflow \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t WorkflowSpec::count(std::string_view key,
-                                std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("workflow \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
-}
-
-std::string WorkflowSpec::text(std::string_view key) const {
-  const auto it = params.find(util::ascii_lower(key));
-  return it == params.end() ? std::string() : it->second;
+void WorkflowKind::check(const WorkflowSpec& spec) {
+  (void)make_workflow_dag(spec);
 }
 
 WorkflowRegistry& WorkflowRegistry::instance() {
@@ -494,14 +377,10 @@ void validate_workflow_dag(const WorkflowDag& dag,
 WorkflowDag make_workflow_dag(const WorkflowSpec& spec) {
   WHISK_CHECK(spec.enabled(),
               "make_workflow_dag on \"none\": check enabled() first");
-  auto& registry = WorkflowRegistry::instance();
-  const std::string canon = registry.resolve(spec.name);
-  WorkflowSpec folded;
-  folded.name = canon;
-  folded.params = fold_params(canon, spec.params);
-  const auto def = registry.create(canon);
-  WorkflowDag dag = def->build(folded);
-  validate_workflow_dag(dag, "workflow \"" + folded.to_string() + "\"");
+  const WorkflowSpec resolved = spec.resolved();
+  WorkflowDag dag =
+      WorkflowRegistry::instance().create(resolved.name)->build(resolved);
+  validate_workflow_dag(dag, "workflow \"" + resolved.to_string() + "\"");
   return dag;
 }
 

@@ -241,7 +241,7 @@ TEST_F(ScenarioRegistryTest, RuntimeRegistrationExtendsTheSurface) {
   class EveryHalfSecond final : public ScenarioDef {
    public:
     std::string help() const override { return "test-only: fixed cadence"; }
-    std::vector<ScenarioParam> params() const override {
+    std::vector<util::Param> params() const override {
       return {{"period", "0.5", "gap between calls in seconds", false}};
     }
     Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "experiments/distributed.h"
 #include "metrics/sink.h"
 #include "node/invoker_registry.h"
+#include "util/named_spec.h"
 #include "util/parse.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -67,7 +69,8 @@ int usage(const char* argv0) {
       "  --no-samples       bounded memory: streaming summaries only\n"
       "  --reservoir N      quantile reservoir capacity (default 4096)\n"
       "  --quiet            no progress, no per-cell table\n"
-      "  --list             print every registered component name and exit\n"
+      "  --list             print every registered component with its help\n"
+      "                     and declared parameters, then exit\n"
       "\n"
       "distributed campaigns (merged output is byte-identical to a\n"
       "single-process run at any worker count):\n"
@@ -85,73 +88,82 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// One-stop discoverability: every name each registry will accept in a grid
-// (mirrors scenario_catalog, which additionally documents per-scenario
-// parameters).
+// One declared parameter per line, under its entry.
+void print_params(std::span<const util::Param> params) {
+  for (const auto& param : params) {
+    if (param.required) {
+      std::printf("    %s [required]: %s\n", param.name.c_str(),
+                  param.help.c_str());
+    } else {
+      std::printf("    %s (default %s): %s\n", param.name.c_str(),
+                  param.default_value.c_str(), param.help.c_str());
+    }
+  }
+}
+
+// One-stop discoverability: every name each registry will accept in a
+// grid, with each entry's help line and declared parameters.
 int list_registries() {
   auto section = [](const char* kind, const std::vector<std::string>& names) {
     std::printf("%s:\n", kind);
     for (const auto& name : names) std::printf("  %s\n", name.c_str());
   };
   section("invokers (schedulers=<invoker>/...)",
-          whisk::node::InvokerRegistry::instance().names());
+          node::InvokerRegistry::instance().names());
   section("policies (schedulers=.../<policy>/...)",
-          whisk::core::PolicyRegistry::instance().names());
+          core::PolicyRegistry::instance().names());
   section("balancers (schedulers=.../.../<balancer>)",
-          whisk::cluster::BalancerRegistry::instance().names());
-  section("scenarios (scenarios=<name>?...)",
-          whisk::workload::ScenarioRegistry::instance().names());
+          cluster::BalancerRegistry::instance().names());
+  std::printf("scenarios (scenarios=<name>?...):\n");
+  auto& scenarios = workload::ScenarioRegistry::instance();
+  for (const auto& name : scenarios.names()) {
+    std::printf("  %s: %s\n", name.c_str(),
+                scenarios.create(name)->help().c_str());
+    print_params(util::cached_schema(&workload::ScenarioKind::schema, name)
+                     .params);
+  }
   std::printf("keep-alive policies (clusters=...|keep-alive=<name>?...):\n");
-  auto& keep_alive = whisk::container::KeepAlivePolicyRegistry::instance();
-  for (const auto& name : keep_alive.names()) {
+  for (const auto& name : container::KeepAlivePolicyRegistry::instance()
+                              .names()) {
     std::printf("  %s\n", name.c_str());
-    const auto policy =
-        keep_alive.create(name, whisk::container::KeepAliveSpec{name, {}});
-    for (const auto& param : policy->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
+    print_params(
+        util::cached_schema(&container::KeepAliveKind::schema, name).params);
   }
   std::printf("autoscalers (autoscalers=<name>?...):\n");
-  auto& autoscalers = whisk::cluster::AutoscalerRegistry::instance();
+  auto& autoscalers = cluster::AutoscalerRegistry::instance();
   for (const auto& name : autoscalers.names()) {
-    const auto controller = autoscalers.create(
-        name, whisk::cluster::AutoscalerSpec{name, {}});
+    const auto controller =
+        autoscalers.create(name, cluster::AutoscalerSpec{name, {}});
     std::printf("  %s: %s\n", name.c_str(), controller->help().c_str());
-    for (const auto& param : whisk::cluster::common_autoscaler_params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
-    for (const auto& param : controller->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
+    print_params(
+        util::cached_schema(&cluster::AutoscalerKind::schema, name).params);
   }
   std::printf("faults (faults=<name>?...+...):\n");
-  auto& faults = whisk::cluster::FaultRegistry::instance();
+  auto& faults = cluster::FaultRegistry::instance();
   for (const auto& name : faults.names()) {
-    const auto process =
-        faults.create(name, whisk::cluster::FaultSpec{name, {}});
+    const auto process = faults.create(name, cluster::FaultSpec{name, {}});
     std::printf("  %s: %s\n", name.c_str(), process->help().c_str());
-    for (const auto& param : process->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
+    if (cluster::fault_is_disruptive(name)) {
+      std::printf("    disruptive: fails nodes (in-flight calls re-submit)\n");
     }
+    if (cluster::fault_drops_completions(name)) {
+      std::printf(
+          "    drops completions: requires resilience=timeout-s>0 or the "
+          "lost call would hang the run\n");
+    }
+    print_params(
+        util::cached_schema(&cluster::FaultKind::schema, name).params);
   }
   std::printf("resilience knobs (clusters=...|resilience=k=v&...):\n");
-  for (const auto& param : whisk::cluster::resilience_params()) {
-    std::printf("  %s (default %s): %s\n", param.name.c_str(),
-                param.default_value.c_str(), param.help.c_str());
-  }
+  std::printf("  key=value[&...]: a knob left at its default is off\n");
+  print_params(cluster::resilience_params());
   std::printf("workflows (workflows=<name>?...):\n");
-  auto& workflows = whisk::workload::WorkflowRegistry::instance();
+  auto& workflows = workload::WorkflowRegistry::instance();
   for (const auto& name : workflows.names()) {
-    const auto def = workflows.create(name);
-    std::printf("  %s: %s\n", name.c_str(), def->help().c_str());
-    for (const auto& param : def->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
+    std::printf("  %s: %s\n", name.c_str(),
+                workflows.create(name)->help().c_str());
+    print_params(
+        util::cached_schema(&workload::WorkflowKind::schema, name).params);
   }
   return 0;
 }
