@@ -411,7 +411,7 @@ void Cluster::resubmit(const workload::CallRequest& call) {
 
 void Cluster::deliver(const metrics::CallRecord& record) {
   // Node-side truth first: the completion may have emptied a draining
-  // node's backlog — the moment its metering stops (Invoker::deliver
+  // node's backlog — the moment its metering stops (Invoker::complete
   // removes the call from its in-flight set before invoking this
   // callback) — no matter what becomes of the message below.
   if (record.node >= 0 &&

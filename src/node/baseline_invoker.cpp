@@ -3,22 +3,14 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/check.h"
-
 namespace whisk::node {
 
 BaselineInvoker::BaselineInvoker(sim::Engine& engine,
                                  const workload::FunctionCatalog& catalog,
                                  NodeParams params, sim::Rng rng,
                                  DeliveryFn delivery)
-    : Invoker(engine, catalog, params, rng, std::move(delivery)),
-      pool_(params.memory_limit_mb,
-            container::make_keep_alive(params.keep_alive)),
-      daemon_(engine),
-      cpu_(engine,
-           os::CpuParams{os::ExecMode::kProportionalShare, params.cores,
-                         params.context_switch_beta},
-           [this](os::CpuSystem::TaskId task) { on_exec_complete(task); }) {
+    : Invoker(engine, catalog, params, rng, std::move(delivery),
+              os::ExecMode::kProportionalShare) {
   // Dockerd strains as it juggles more live containers; the baseline churns
   // the container set constantly, so all its serialized ops slow down with
   // the container count (Sec. VI: at 128 GiB "Docker had problems running
@@ -64,19 +56,8 @@ void BaselineInvoker::warmup() {
   }
 }
 
-const InvokerStats& BaselineInvoker::stats() const {
-  sync_station_telemetry(pool_, daemon_);
-  return stats_;
-}
-
-void BaselineInvoker::on_submit(const workload::CallRequest& call) {
-  ++stats_.calls_received;
-  metrics::CallRecord rec;
-  rec.id = call.id;
-  rec.function = call.function;
-  rec.node = node_index_;
-  rec.release = call.release;
-  rec.received = engine_->now();
+void BaselineInvoker::on_submit(metrics::CallRecord rec,
+                                const workload::CallRequest&) {
   queue_.push_back(rec);
   process_queue();
 }
@@ -124,79 +105,22 @@ void BaselineInvoker::dispatch(metrics::CallRecord rec,
                                metrics::StartKind start) {
   rec.start_kind = start;
   const double act = activity();
-  double op = 0.0;
+  double op = ramped_op(params_.base_dispatch_idle_s,
+                        params_.base_dispatch_loaded_s,
+                        params_.base_dispatch_sigma, act);
   sim::SimTime init_delay = 0.0;
-
-  switch (start) {
-    case metrics::StartKind::kWarm:
-      ++stats_.warm_starts;
-      op = ramped_op(params_.base_dispatch_idle_s,
-                     params_.base_dispatch_loaded_s,
-                     params_.base_dispatch_sigma, act);
-      break;
-    case metrics::StartKind::kPrewarm:
-      ++stats_.prewarm_starts;
-      op = ramped_op(params_.base_dispatch_idle_s,
-                     params_.base_dispatch_loaded_s,
-                     params_.base_dispatch_sigma, act);
-      init_delay = sample_lognormal(params_.prewarm_init_median_s,
-                                    params_.prewarm_init_sigma);
-      replenish_prewarm();
-      break;
-    case metrics::StartKind::kCold:
-      ++stats_.cold_starts;
-      op = ramped_op(params_.base_dispatch_idle_s,
-                     params_.base_dispatch_loaded_s,
-                     params_.base_dispatch_sigma, act) +
-           ramped_op(params_.base_create_idle_s,
-                     params_.base_create_loaded_s, params_.base_create_sigma,
-                     act);
-      init_delay =
-          std::clamp(sample_lognormal(params_.cold_init_median_s,
-                                      params_.cold_init_sigma),
-                     params_.cold_init_min_s, params_.cold_init_max_s);
-      break;
+  if (start == metrics::StartKind::kPrewarm) {
+    init_delay = prewarm_init_delay();
+    replenish_prewarm();
+  } else if (start == metrics::StartKind::kCold) {
+    op += ramped_op(params_.base_create_idle_s, params_.base_create_loaded_s,
+                    params_.base_create_sigma, act);
+    init_delay = cold_init_delay();
   }
-
-  ActiveCall active{rec, cid};
-  daemon_.submit(op, [this, active = std::move(active), init_delay]() mutable {
-    if (dead()) return;
-    if (active.record.start_kind == metrics::StartKind::kCold) {
-      pool_.finish_creation_busy(active.cid, active.record.function);
-    }
-    if (init_delay > 0.0) {
-      engine_->schedule_in(init_delay,
-                           [this, active = std::move(active)]() mutable {
-                             begin_exec(std::move(active));
-                           });
-    } else {
-      begin_exec(std::move(active));
-    }
-  });
+  launch(ActiveCall{rec, cid}, op, init_delay, /*urgent=*/false);
 }
 
-void BaselineInvoker::begin_exec(ActiveCall active) {
-  if (dead()) return;
-  active.record.exec_start = engine_->now();
-  active.record.service =
-      catalog_->sample_service(active.record.function, rng_);
-  const auto& spec = catalog_->spec(active.record.function);
-  // OpenWhisk assigns CPU shares proportional to container memory; with our
-  // homogeneous 256 MB actions the weights are equal.
-  const double weight = spec.memory_mb / 256.0;
-  const auto task =
-      cpu_.start(scaled(active.record.service), spec.cpu_fraction, weight);
-  running_.emplace(task, std::move(active));
-}
-
-void BaselineInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
-  if (dead()) return;
-  auto it = running_.find(task);
-  WHISK_CHECK(it != running_.end(), "completion for unknown task");
-  ActiveCall active = std::move(it->second);
-  running_.erase(it);
-  active.record.exec_end = engine_->now();
-
+void BaselineInvoker::on_exec_end(ActiveCall active) {
   const double post =
       ramped_op(params_.base_post_idle_s, params_.base_post_loaded_s,
                 params_.base_post_sigma, activity());
@@ -207,10 +131,7 @@ void BaselineInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
 
 void BaselineInvoker::finish_call(ActiveCall active) {
   if (dead()) return;
-  pool_.release(active.cid, engine_->now());
-  ++stats_.calls_completed;
-  active.record.completion = engine_->now();
-  deliver(active.record);
+  complete(active);
   // The stock invoker pauses the now-idle container; the op consumes the
   // daemon but blocks nobody directly (the container can still be claimed
   // while the pause is queued).
@@ -232,10 +153,7 @@ void BaselineInvoker::replenish_prewarm() {
   const double op = ramped_op(params_.base_create_idle_s,
                               params_.base_create_loaded_s,
                               params_.base_create_sigma, activity());
-  const double init =
-      std::clamp(sample_lognormal(params_.cold_init_median_s,
-                                  params_.cold_init_sigma),
-                 params_.cold_init_min_s, params_.cold_init_max_s);
+  const double init = cold_init_delay();
   daemon_.submit(op, [this, cid = *cid, init] {
     if (dead()) return;
     engine_->schedule_in(init, [this, cid] {

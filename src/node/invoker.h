@@ -7,18 +7,16 @@
 #include <unordered_map>
 #include <vector>
 
+#include "container/docker_daemon.h"
+#include "container/pool.h"
 #include "metrics/record.h"
 #include "node/params.h"
+#include "os/cpu_system.h"
 #include "sim/engine.h"
 #include "sim/random.h"
 #include "util/check.h"
 #include "workload/function.h"
 #include "workload/scenario.h"
-
-namespace whisk::container {
-class ContainerPool;
-class DockerDaemon;
-}  // namespace whisk::container
 
 namespace whisk::node {
 
@@ -69,6 +67,16 @@ struct InvokerStats {
 //   * OurInvoker — the paper's approach (Sec. IV): policy priority queue,
 //     busy containers capped at the core count, one core per container.
 //
+// Both run the same call pipeline, which lives here: the container pool,
+// the Docker-daemon station and the CPU model; the dispatched call's
+// management op on the daemon, a cold container's creation and the
+// container's init delay; execution on the CPU; and the release, counting
+// and delivery of the finished call. A subclass supplies only what the
+// paper says differs: its queue and dispatch gate (on_submit, then
+// launch()), the ExecMode it hands to the base, its management-op costs,
+// its post-execution step (on_exec_end, which ends in complete()) and its
+// warm-up.
+//
 // The invoker's `submit` is called at the moment the request is pulled from
 // Kafka (r'(i)); `delivery` fires when the response leaves the node, with
 // exec_* timestamps and the start kind filled in. The cluster layer adds the
@@ -85,12 +93,21 @@ class Invoker {
   using DeliveryFn = std::function<void(const metrics::CallRecord&)>;
 
   Invoker(sim::Engine& engine, const workload::FunctionCatalog& catalog,
-          NodeParams params, sim::Rng rng, DeliveryFn delivery)
+          NodeParams params, sim::Rng rng, DeliveryFn delivery,
+          os::ExecMode exec_mode)
       : engine_(&engine),
         catalog_(&catalog),
         params_(params),
         rng_(rng),
-        delivery_(std::move(delivery)) {}
+        pool_(params.memory_limit_mb,
+              container::make_keep_alive(params.keep_alive)),
+        daemon_(engine),
+        delivery_(std::move(delivery)),
+        cpu_(engine,
+             os::CpuParams{exec_mode, params.cores,
+                           params.context_switch_beta},
+             [this](os::CpuSystem::TaskId task) { on_exec_complete(task); }) {
+  }
 
   virtual ~Invoker() = default;
   Invoker(const Invoker&) = delete;
@@ -102,9 +119,9 @@ class Invoker {
   // counts.
   virtual void warmup() = 0;
 
-  // Receive a call (now == r'(i)); hands off to the implementation's
-  // on_submit. With in-flight tracking enabled the call is also remembered
-  // until delivery so a failure can return it.
+  // Receive a call (now == r'(i)): count it, open its record and hand both
+  // to the implementation's on_submit. With in-flight tracking enabled the
+  // call is also remembered until delivery so a failure can return it.
   void submit(const workload::CallRequest& call);
 
   // Opt in to per-call in-flight bookkeeping (one hash-map insert + erase
@@ -129,10 +146,16 @@ class Invoker {
   [[nodiscard]] virtual std::size_t executing() const = 0;
   [[nodiscard]] virtual std::string_view approach() const = 0;
 
-  // Implementations override to fold live telemetry (daemon station, pool
-  // counters) into the returned snapshot.
-  [[nodiscard]] virtual const InvokerStats& stats() const { return stats_; }
+  // The invoker's counters with the pool's and the daemon station's live
+  // telemetry folded in.
+  [[nodiscard]] const InvokerStats& stats() const;
   [[nodiscard]] const NodeParams& params() const { return params_; }
+
+  // Introspection for tests and telemetry.
+  [[nodiscard]] const container::ContainerPool& pool() const { return pool_; }
+  [[nodiscard]] const container::DockerDaemon& daemon() const {
+    return daemon_;
+  }
 
   // Node index stamped into call records (set by the cluster layer).
   void set_node_index(int index) { node_index_ = index; }
@@ -149,31 +172,59 @@ class Invoker {
   [[nodiscard]] double speed_factor() const { return speed_factor_; }
 
  protected:
-  // Implementation hook behind submit().
-  virtual void on_submit(const workload::CallRequest& call) = 0;
+  // A call from its dispatch to its delivery.
+  struct ActiveCall {
+    metrics::CallRecord record;
+    container::ContainerId cid = container::kInvalidContainer;
+    sim::SimTime dispatch_time = 0.0;  // left the node's pending queue
+  };
 
-  // Deliver a finished record to the cluster layer and drop it from the
-  // in-flight set. Implementations must route completions through here
-  // (never through delivery_ directly) or failed-node re-submission would
-  // double-count.
-  void deliver(const metrics::CallRecord& record);
+  // Implementation hook behind submit(): `rec` is the call's freshly
+  // opened record (id, function, node, release, received).
+  virtual void on_submit(metrics::CallRecord rec,
+                         const workload::CallRequest& call) = 0;
+
+  // Post-execution hook: the call's CPU work ended (exec_end is stamped).
+  // The implementation runs its post-processing and then completes the
+  // call through complete().
+  virtual void on_exec_end(ActiveCall active) = 0;
+
+  // Start a dispatched call whose start kind and container are set: count
+  // the start kind, run the management op `op` on the daemon station
+  // (`urgent` ops run before queued normal ones), then finish a cold
+  // container's creation, wait `init_delay` for the container's init and
+  // execute the call on the CPU.
+  void launch(ActiveCall active, double op, sim::SimTime init_delay,
+              bool urgent);
+
+  // Release the call's container, count and stamp the completion, drop
+  // the call from the in-flight set and deliver the record to the cluster
+  // layer. Callers check dead() first.
+  void complete(ActiveCall& active);
 
   // True once shutdown() ran; every engine callback re-entering the
   // invoker checks this first and bails.
   [[nodiscard]] bool dead() const { return failed_; }
 
-  // Fold the node's pool and daemon-station telemetry into stats_ — the
-  // one block both stats() overrides share, so a new field cannot be
-  // synced for one invoker and silently report 0 for the other. Defined
-  // in invoker.cpp: the base header stays forward-declaration-only on the
-  // container layer.
-  void sync_station_telemetry(const container::ContainerPool& pool,
-                              const container::DockerDaemon& daemon) const;
+  // Calls executing on the CPU right now.
+  [[nodiscard]] std::size_t running_count() const { return running_.size(); }
 
   // Lognormal sample around `median` with spread `sigma`, stretched by the
   // current straggler factor.
   double sample_lognormal(double median, double sigma) {
     return scaled(rng_.lognormal(std::log(median), sigma));
+  }
+
+  // Init delay of a brand-new container (clamped lognormal) and of a
+  // prewarm take-over.
+  double cold_init_delay() {
+    return std::clamp(sample_lognormal(params_.cold_init_median_s,
+                                       params_.cold_init_sigma),
+                      params_.cold_init_min_s, params_.cold_init_max_s);
+  }
+  double prewarm_init_delay() {
+    return sample_lognormal(params_.prewarm_init_median_s,
+                            params_.prewarm_init_sigma);
   }
 
   // Apply the straggler factor to a duration that bypasses
@@ -198,23 +249,106 @@ class Invoker {
   mutable InvokerStats stats_;
   int node_index_ = 0;
   double speed_factor_ = 1.0;
+  container::ContainerPool pool_;
+  container::DockerDaemon daemon_;
 
  private:
+  void begin_exec(ActiveCall active);
+  void on_exec_complete(os::CpuSystem::TaskId task);
+
   DeliveryFn delivery_;
   std::unordered_map<workload::CallId, workload::CallRequest> in_flight_;
   bool failed_ = false;
   bool track_in_flight_ = false;
+  os::CpuSystem cpu_;
+  std::unordered_map<os::CpuSystem::TaskId, ActiveCall> running_;
 };
 
 inline void Invoker::submit(const workload::CallRequest& call) {
   WHISK_CHECK(!failed_, "submit to a failed node");
   if (track_in_flight_) in_flight_.emplace(call.id, call);
-  on_submit(call);
+  ++stats_.calls_received;
+  metrics::CallRecord rec;
+  rec.id = call.id;
+  rec.function = call.function;
+  rec.node = node_index_;
+  rec.release = call.release;
+  rec.received = engine_->now();
+  on_submit(rec, call);
 }
 
-inline void Invoker::deliver(const metrics::CallRecord& record) {
-  if (track_in_flight_) in_flight_.erase(record.id);
-  delivery_(record);
+inline const InvokerStats& Invoker::stats() const {
+  stats_.evictions = pool_.evictions();
+  stats_.expirations = pool_.expirations();
+  stats_.daemon_busy_seconds = daemon_.busy_seconds();
+  stats_.daemon_max_queue_length = daemon_.max_queue_length();
+  stats_.daemon_queue_wait_seconds = daemon_.queue_wait_seconds();
+  stats_.daemon_max_queue_wait_seconds = daemon_.max_queue_wait_seconds();
+  return stats_;
+}
+
+inline void Invoker::launch(ActiveCall active, double op,
+                            sim::SimTime init_delay, bool urgent) {
+  switch (active.record.start_kind) {
+    case metrics::StartKind::kWarm:
+      ++stats_.warm_starts;
+      break;
+    case metrics::StartKind::kPrewarm:
+      ++stats_.prewarm_starts;
+      break;
+    case metrics::StartKind::kCold:
+      ++stats_.cold_starts;
+      break;
+  }
+  daemon_.submit(
+      op,
+      [this, active = std::move(active), init_delay]() mutable {
+        if (dead()) return;
+        if (active.record.start_kind == metrics::StartKind::kCold) {
+          pool_.finish_creation_busy(active.cid, active.record.function);
+        }
+        if (init_delay > 0.0) {
+          engine_->schedule_in(init_delay,
+                               [this, active = std::move(active)]() mutable {
+                                 begin_exec(std::move(active));
+                               });
+        } else {
+          begin_exec(std::move(active));
+        }
+      },
+      urgent);
+}
+
+inline void Invoker::begin_exec(ActiveCall active) {
+  if (dead()) return;
+  active.record.exec_start = engine_->now();
+  active.record.service =
+      catalog_->sample_service(active.record.function, rng_);
+  const auto& spec = catalog_->spec(active.record.function);
+  // OpenWhisk assigns CPU shares proportional to container memory; with
+  // homogeneous 256 MB actions the weights are equal. Pinned-core mode
+  // ignores the weight.
+  const auto task = cpu_.start(scaled(active.record.service),
+                               spec.cpu_fraction, spec.memory_mb / 256.0);
+  running_.emplace(task, std::move(active));
+}
+
+inline void Invoker::on_exec_complete(os::CpuSystem::TaskId task) {
+  if (dead()) return;
+  auto it = running_.find(task);
+  WHISK_CHECK(it != running_.end(), "completion for unknown task");
+  ActiveCall active = std::move(it->second);
+  running_.erase(it);
+  active.record.exec_end = engine_->now();
+  on_exec_end(std::move(active));
+}
+
+inline void Invoker::complete(ActiveCall& active) {
+  pool_.release(active.cid, engine_->now());
+  ++stats_.calls_completed;
+  active.record.completion = engine_->now();
+  if (track_in_flight_) in_flight_.erase(active.record.id);
+  delivery_(active.record);
 }
 
 inline std::vector<workload::CallRequest> Invoker::shutdown() {

@@ -3,24 +3,16 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/check.h"
-
 namespace whisk::node {
 
 OurInvoker::OurInvoker(sim::Engine& engine,
                        const workload::FunctionCatalog& catalog,
                        NodeParams params, sim::Rng rng, DeliveryFn delivery,
                        std::string_view policy)
-    : Invoker(engine, catalog, params, rng, std::move(delivery)),
+    : Invoker(engine, catalog, params, rng, std::move(delivery),
+              os::ExecMode::kPinnedCore),
       policy_(core::make_policy(policy, params.policy)),
-      history_(params.history_window),
-      pool_(params.memory_limit_mb,
-            container::make_keep_alive(params.keep_alive)),
-      daemon_(engine),
-      cpu_(engine,
-           os::CpuParams{os::ExecMode::kPinnedCore, params.cores,
-                         params.context_switch_beta},
-           [this](os::CpuSystem::TaskId task) { on_exec_complete(task); }) {
+      history_(params.history_window) {
   // Our approach keeps a steady container set and leaves dockerd alone
   // between calls, so no live-container strain applies to its ops.
 
@@ -70,20 +62,8 @@ void OurInvoker::warmup() {
   }
 }
 
-const InvokerStats& OurInvoker::stats() const {
-  sync_station_telemetry(pool_, daemon_);
-  return stats_;
-}
-
-void OurInvoker::on_submit(const workload::CallRequest& call) {
-  ++stats_.calls_received;
-  metrics::CallRecord rec;
-  rec.id = call.id;
-  rec.function = call.function;
-  rec.node = node_index_;
-  rec.release = call.release;
-  rec.received = engine_->now();
-
+void OurInvoker::on_submit(metrics::CallRecord rec,
+                           const workload::CallRequest& call) {
   // Priority is computed once, now, from node-local history (Sec. IV), and
   // the arrival is recorded afterwards so RECT's r-bar(i) refers to the
   // *previous* call of the same function.
@@ -137,8 +117,7 @@ bool OurInvoker::dispatch_one() {
     rec.start_kind = metrics::StartKind::kPrewarm;
     cid = *prewarm;
     pool_.assign_function(cid, rec.function);
-    init_delay = sample_lognormal(params_.prewarm_init_median_s,
-                                  params_.prewarm_init_sigma);
+    init_delay = prewarm_init_delay();
   } else {
     // Need a fresh container; the keep-alive policy picks eviction victims
     // if memory is short. (stats() folds the pool's eviction counters in.)
@@ -156,64 +135,19 @@ bool OurInvoker::dispatch_one() {
     cid = *created;
     op += ramped_op(params_.base_create_idle_s, params_.base_create_loaded_s,
                     params_.base_create_sigma, act);
-    init_delay = std::clamp(
-        sample_lognormal(params_.cold_init_median_s, params_.cold_init_sigma),
-        params_.cold_init_min_s, params_.cold_init_max_s);
-  }
-
-  switch (rec.start_kind) {
-    case metrics::StartKind::kWarm:
-      ++stats_.warm_starts;
-      break;
-    case metrics::StartKind::kPrewarm:
-      ++stats_.prewarm_starts;
-      break;
-    case metrics::StartKind::kCold:
-      ++stats_.cold_starts;
-      break;
+    init_delay = cold_init_delay();
   }
 
   ++busy_slots_;
-  ActiveCall active{rec, cid, engine_->now()};
   // Serialized management op, then (for cold/prewarm starts) the container
   // initialization which delays only this call. Dispatch ops take priority
   // over queued background result/log processing.
-  daemon_.submit(op, [this, active = std::move(active), init_delay]() mutable {
-    if (dead()) return;
-    if (active.record.start_kind == metrics::StartKind::kCold) {
-      pool_.finish_creation_busy(active.cid, active.record.function);
-    }
-    if (init_delay > 0.0) {
-      engine_->schedule_in(init_delay,
-                           [this, active = std::move(active)]() mutable {
-                             begin_exec(std::move(active));
-                           });
-    } else {
-      begin_exec(std::move(active));
-    }
-  }, /*urgent=*/true);
+  launch(ActiveCall{rec, cid, engine_->now()}, op, init_delay,
+         /*urgent=*/true);
   return true;
 }
 
-void OurInvoker::begin_exec(ActiveCall active) {
-  if (dead()) return;
-  active.record.exec_start = engine_->now();
-  active.record.service =
-      catalog_->sample_service(active.record.function, rng_);
-  const auto& spec = catalog_->spec(active.record.function);
-  const auto task = cpu_.start(scaled(active.record.service), spec.cpu_fraction);
-  running_.emplace(task, std::move(active));
-}
-
-void OurInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
-  if (dead()) return;
-  auto it = running_.find(task);
-  WHISK_CHECK(it != running_.end(), "completion for unknown task");
-  ActiveCall active = std::move(it->second);
-  running_.erase(it);
-
-  active.record.exec_end = engine_->now();
-
+void OurInvoker::on_exec_end(ActiveCall active) {
   // Serialized post-execution result/log processing, proportional to what
   // the call produced (its execution time). This is the order-dependent
   // bottleneck cost that makes short-first policies win on *average*
@@ -246,12 +180,9 @@ void OurInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
 
 void OurInvoker::finish_call(ActiveCall active) {
   if (dead()) return;
-  pool_.release(active.cid, engine_->now());
   --busy_slots_;
   resource_blocked_ = false;
-  ++stats_.calls_completed;
-  active.record.completion = engine_->now();
-  deliver(active.record);
+  complete(active);
   try_dispatch();
 }
 
