@@ -229,24 +229,29 @@ void Cluster::apply_lifecycle(const LifecycleEvent& event) {
       break;
     }
     case LifecycleKind::kFail: {
-      NodeSlot& slot = nodes_[resolve_node(event)];
-      WHISK_CHECK(slot.state != NodeState::kFailed,
+      const std::size_t node = resolve_node(event);
+      WHISK_CHECK(nodes_[node].state != NodeState::kFailed,
                   ("fail of group \"" + event.group + "\" node " +
                    std::to_string(event.node) + ": node already failed")
                       .c_str());
-      slot.state = NodeState::kFailed;
-      slot.failed_at = engine_->now();
-      // Billing stops at the failure (unless an earlier drain completed).
-      if (slot.retired_at < 0.0) slot.retired_at = engine_->now();
-      // The controller re-routes everything the node had received but not
-      // answered, after the failure-detection delay.
-      for (const workload::CallRequest& call : slot.invoker->shutdown()) {
-        resubmit(call);
-      }
+      fail_node(node);
       break;
     }
   }
   rebuild_view();
+}
+
+void Cluster::fail_node(std::size_t node) {
+  NodeSlot& slot = nodes_[node];
+  slot.state = NodeState::kFailed;
+  slot.failed_at = engine_->now();
+  // Billing stops at the failure (unless an earlier drain completed).
+  if (slot.retired_at < 0.0) slot.retired_at = engine_->now();
+  // The controller re-routes everything the node had received but not
+  // answered, after the failure-detection delay.
+  for (const workload::CallRequest& call : slot.invoker->shutdown()) {
+    resubmit(call);
+  }
 }
 
 void Cluster::warmup() {
@@ -325,14 +330,7 @@ void Cluster::submit_to_controller(const workload::CallRequest& call) {
       }
     }
     if (saturated) {
-      metrics::CallRecord rec;
-      rec.id = call.id;
-      rec.function = call.function;
-      rec.node = -1;
-      rec.release = call.release;
-      rec.completion = engine_->now();
-      rec.disposition = metrics::Disposition::kShed;
-      collect_record(rec);
+      collect_record(controller_record(call, metrics::Disposition::kShed, 1));
       return;
     }
   }
@@ -548,6 +546,13 @@ void Cluster::drop_call(const workload::CallRequest& call, int attempts) {
     outstanding_.erase(it);
   }
   if (track_calls_) resolved_.insert(call.id);
+  collect_record(
+      controller_record(call, metrics::Disposition::kDropped, attempts));
+}
+
+metrics::CallRecord Cluster::controller_record(
+    const workload::CallRequest& call, metrics::Disposition disposition,
+    int attempts) const {
   metrics::CallRecord rec;
   rec.id = call.id;
   rec.function = call.function;
@@ -555,8 +560,8 @@ void Cluster::drop_call(const workload::CallRequest& call, int attempts) {
   rec.release = call.release;
   rec.completion = engine_->now();
   rec.attempts = attempts;
-  rec.disposition = metrics::Disposition::kDropped;
-  collect_record(rec);
+  rec.disposition = disposition;
+  return rec;
 }
 
 void Cluster::breaker_note_timeout(std::size_t node) {
@@ -701,16 +706,10 @@ bool Cluster::fault_node_failed(std::size_t node) const {
 
 bool Cluster::fault_fail(std::size_t node) {
   WHISK_CHECK(node < nodes_.size(), "fault node out of range");
-  NodeSlot& slot = nodes_[node];
   // Only active nodes crash stochastically; draining/failed ones are
   // already out of service and retired ones hold no work.
-  if (slot.state != NodeState::kActive) return false;
-  slot.state = NodeState::kFailed;
-  slot.failed_at = engine_->now();
-  if (slot.retired_at < 0.0) slot.retired_at = engine_->now();
-  for (const workload::CallRequest& call : slot.invoker->shutdown()) {
-    resubmit(call);
-  }
+  if (nodes_[node].state != NodeState::kActive) return false;
+  fail_node(node);
   rebuild_view();
   return true;
 }

@@ -276,6 +276,10 @@ class Cluster : public FaultHost {
   std::size_t add_node(std::size_t group);
   void rebuild_view();
   void apply_lifecycle(const LifecycleEvent& event);
+  // Fail one node (lifecycle event or fault): stamp the failure, stop its
+  // billing, shut its invoker down and re-submit what it held. Callers
+  // guard the node's state and rebuild the view.
+  void fail_node(std::size_t node);
   // Global node index of (group ordinal, group-local index); aborts with
   // the event context when the node does not exist (yet).
   [[nodiscard]] std::size_t resolve_node(const LifecycleEvent& event) const;
@@ -321,6 +325,11 @@ class Cluster : public FaultHost {
   // Write the terminal `dropped` record for a call that exhausted its
   // attempts and forget its resilience state.
   void drop_call(const workload::CallRequest& call, int attempts);
+  // The terminal record of a call the controller resolved without a node
+  // answering (shed at admission or dropped), stamped now.
+  [[nodiscard]] metrics::CallRecord controller_record(
+      const workload::CallRequest& call, metrics::Disposition disposition,
+      int attempts) const;
   // Breaker transitions fed by per-node timeout/success signals.
   void breaker_note_timeout(std::size_t node);
   void breaker_note_success(std::size_t node);

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -507,13 +508,25 @@ DistributedResult run_distributed(const CampaignSpec& raw_spec,
         continue;
       }
       // Crash (signal) or error exit: replay the captured stderr so the
-      // failure is diagnosable, then retry — cells are idempotent, so a
-      // re-run of the shard yields byte-identical output.
+      // failure is diagnosable.
       if (!options.verbose && !w.err.empty()) {
         std::fprintf(stderr, "[shard %s attempt %d failed]\n",
                      w.range.selector().c_str(), w.attempts);
         std::fwrite(w.err.data(), 1, w.err.size(), stderr);
       }
+      // A failed WHISK_CHECK (SIGABRT) or an error exit is deterministic:
+      // the shard would fail the same way again, so give up at once. Any
+      // other signal (an OOM kill, an operator's SIGKILL) is retried —
+      // cells are idempotent, so a re-run yields byte-identical output.
+      const bool exited = WIFEXITED(status);
+      WHISK_CHECK(!exited && WTERMSIG(status) != SIGABRT,
+                  ("distributed shard " + w.range.selector() +
+                   " failed deterministically (" +
+                   (exited ? "exit code " + std::to_string(WEXITSTATUS(status))
+                           : std::string("SIGABRT")) +
+                   ") on attempt " + std::to_string(w.attempts) +
+                   "; not retrying")
+                      .c_str());
       WHISK_CHECK(w.attempts < options.max_attempts,
                   "distributed shard kept failing; giving up");
       spawn_worker(&w, spec, cat, options);

@@ -28,14 +28,16 @@ namespace whisk::experiments {
 //     benchmark measure multi-process scaling without binary-path
 //     plumbing).
 //
-// Fault tolerance: a worker that exits non-zero or dies on a signal is
+// Fault tolerance: a worker killed by a signal other than SIGABRT is
 // re-spawned (cells are idempotent, so a re-run is byte-identical) up to
 // max_attempts per shard; the driver aborts loudly if a shard keeps
-// failing.
+// failing. A worker that aborts (a failed WHISK_CHECK) or exits non-zero
+// failed deterministically: the driver replays its stderr and aborts on
+// the first attempt.
 struct DistributedOptions {
   int workers = 2;         // number of shards == number of worker processes
   int worker_threads = 1;  // run_campaign threads inside each worker
-  int max_attempts = 3;    // spawn attempts per shard before giving up
+  int max_attempts = 3;    // spawn attempts per shard (signal deaths)
   bool retain_samples = true;
   std::size_t reservoir_capacity = 4096;
   // Forward worker stderr live (and let workers print progress); when

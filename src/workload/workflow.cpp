@@ -285,6 +285,14 @@ void register_builtin_workflows(WorkflowRegistry& registry) {
   registry.register_alias("edges", "dag");
 }
 
+// Build and validate the DAG of a resolved, enabled spec.
+WorkflowDag build_dag(const WorkflowSpec& resolved) {
+  WorkflowDag dag =
+      WorkflowRegistry::instance().create(resolved.name)->build(resolved);
+  validate_workflow_dag(dag, "workflow \"" + resolved.to_string() + "\"");
+  return dag;
+}
+
 }  // namespace
 
 const WorkflowRegistry& WorkflowKind::registry() {
@@ -296,7 +304,7 @@ util::ParamSchema WorkflowKind::schema(const std::string& canon) {
 }
 
 void WorkflowKind::check(const WorkflowSpec& spec) {
-  (void)make_workflow_dag(spec);
+  (void)build_dag(spec);
 }
 
 WorkflowRegistry& WorkflowRegistry::instance() {
@@ -377,11 +385,7 @@ void validate_workflow_dag(const WorkflowDag& dag,
 WorkflowDag make_workflow_dag(const WorkflowSpec& spec) {
   WHISK_CHECK(spec.enabled(),
               "make_workflow_dag on \"none\": check enabled() first");
-  const WorkflowSpec resolved = spec.resolved();
-  WorkflowDag dag =
-      WorkflowRegistry::instance().create(resolved.name)->build(resolved);
-  validate_workflow_dag(dag, "workflow \"" + resolved.to_string() + "\"");
-  return dag;
+  return build_dag(spec.resolved());
 }
 
 }  // namespace whisk::workload

@@ -3,8 +3,9 @@
 // worker count on a grid that exercises every subsystem at once
 // (autoscaled cost-metered fleet, resilience policy, crash faults,
 // workflow DAGs); per-group summaries bit-exact across the wire; empty
-// shards tolerated when workers outnumber groups; and a worker SIGKILLed
-// mid-shard re-run transparently with the merge unchanged.
+// shards tolerated when workers outnumber groups; a worker SIGKILLed
+// mid-shard re-run transparently with the merge unchanged; and an aborting
+// worker given up on at its first attempt.
 #include "experiments/distributed.h"
 
 #include <gtest/gtest.h>
@@ -132,6 +133,22 @@ TEST_F(DistributedCampaignTest, KilledWorkerIsRerunAndMergeUnchanged) {
   EXPECT_EQ(dist.shards[1].attempts, 1);
   EXPECT_EQ(dist.cells_csv, cells_csv(single));
   EXPECT_EQ(dist.cells_jsonl, cells_jsonl(single));
+}
+
+// A worker that aborts fails the same way on every attempt — here its
+// first cell rejects a scenario value that is only checked when arrivals
+// are generated — so the driver replays the worker's diagnostic and gives
+// up on the first attempt instead of re-spawning the shard.
+TEST(DistributedCampaignDeathTest, AbortingWorkerIsNotRetried) {
+  const auto cat = workload::sebs_catalog();
+  const CampaignSpec spec = CampaignSpec::parse(
+      "schedulers=ours/sept; scenarios=uniform?intensity=abc; seeds=0");
+  DistributedOptions opts;
+  opts.workers = 1;
+  EXPECT_DEATH((void)run_distributed(spec, cat, opts),
+               "\\[shard 0/1 attempt 1 failed\\].*intensity=\"abc\".*"
+               "distributed shard 0/1 failed deterministically \\(SIGABRT\\) "
+               "on attempt 1; not retrying");
 }
 
 TEST_F(DistributedCampaignTest, NoSamplesModeAlsoMergesByteIdentically) {

@@ -24,6 +24,21 @@ class BaselineInvokerTest : public ::testing::Test {
     });
   }
 
+  // Conservation after a drained run: every received call completed with
+  // exactly one start kind, nothing is left queued or executing, and every
+  // container went back to the pool.
+  void expect_drained(const Invoker& inv) {
+    const auto& s = inv.stats();
+    EXPECT_EQ(s.calls_received, s.calls_completed);
+    EXPECT_EQ(s.calls_completed, delivered_.size());
+    EXPECT_EQ(s.cold_starts + s.prewarm_starts + s.warm_starts,
+              s.calls_completed);
+    EXPECT_EQ(inv.queue_length(), 0u);
+    EXPECT_EQ(inv.executing(), 0u);
+    EXPECT_EQ(inv.pool().busy_count(), 0u);
+    EXPECT_EQ(inv.pool().creating_count(), 0u);
+  }
+
   sim::Engine engine_;
   workload::FunctionCatalog catalog_;
   std::vector<metrics::CallRecord> delivered_;
@@ -191,6 +206,7 @@ TEST_F(BaselineInvokerTest, StatsConsistent) {
   EXPECT_EQ(s.calls_received, 22u);
   EXPECT_EQ(s.calls_completed, 22u);
   EXPECT_EQ(s.warm_starts + s.prewarm_starts + s.cold_starts, 22u);
+  expect_drained(*inv);
 }
 
 TEST_F(BaselineInvokerTest, DaemonStrainGrowsWithContainers) {
@@ -210,6 +226,25 @@ TEST_F(BaselineInvokerTest, DaemonStrainGrowsWithContainers) {
   // Even idle dispatch takes a strictly positive daemon op.
   EXPECT_GT(delivered_[0].exec_start - delivered_[0].received,
             0.5 * p.base_dispatch_idle_s);
+}
+
+TEST_F(BaselineInvokerTest, OverloadBurstDrainsAndReleasesEveryContainer) {
+  // 120 calls in one second on 4 cores and room for 12 containers: cold
+  // starts, prewarm take-overs, evictions and head-of-line blocking all
+  // occur before the backlog drains.
+  NodeParams p;
+  p.cores = 4;
+  p.memory_limit_mb = 12.0 * 160.0;
+  auto inv = make(p);
+  inv->warmup();
+  for (int i = 0; i < 120; ++i) {
+    submit_at(*inv, 0.01 * i, static_cast<workload::FunctionId>(i % 11), i);
+  }
+  engine_.run();
+  EXPECT_EQ(delivered_.size(), 120u);
+  EXPECT_GT(inv->stats().cold_starts, 0u);
+  EXPECT_GT(inv->stats().evictions, 0u);
+  expect_drained(*inv);
 }
 
 }  // namespace

@@ -32,6 +32,21 @@ class OurInvokerTest : public ::testing::Test {
     });
   }
 
+  // Conservation after a drained run: every received call completed with
+  // exactly one start kind, nothing is left queued or executing, and every
+  // container went back to the pool.
+  void expect_drained(const Invoker& inv) {
+    const auto& s = inv.stats();
+    EXPECT_EQ(s.calls_received, s.calls_completed);
+    EXPECT_EQ(s.calls_completed, delivered_.size());
+    EXPECT_EQ(s.cold_starts + s.prewarm_starts + s.warm_starts,
+              s.calls_completed);
+    EXPECT_EQ(inv.queue_length(), 0u);
+    EXPECT_EQ(inv.executing(), 0u);
+    EXPECT_EQ(inv.pool().busy_count(), 0u);
+    EXPECT_EQ(inv.pool().creating_count(), 0u);
+  }
+
   sim::Engine engine_;
   workload::FunctionCatalog catalog_;
   std::vector<metrics::CallRecord> delivered_;
@@ -219,6 +234,7 @@ TEST_F(OurInvokerTest, StatsCountsAreConsistent) {
   EXPECT_EQ(s.calls_received, 15u);
   EXPECT_EQ(s.calls_completed, 15u);
   EXPECT_EQ(s.warm_starts + s.prewarm_starts + s.cold_starts, 15u);
+  expect_drained(*inv);
 }
 
 TEST_F(OurInvokerTest, RecordsCarryNodeIndex) {
@@ -283,6 +299,25 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST_F(OurInvokerTest, OverloadBurstDrainsAndReleasesEveryContainer) {
+  // 120 calls in one second on 4 cores and room for 12 containers: the
+  // SEPT queue grows deep, and calls of functions without a warm container
+  // evict and cold-start before the backlog drains.
+  NodeParams p;
+  p.cores = 4;
+  p.memory_limit_mb = 12.0 * 160.0;
+  auto inv = make("sept", p);
+  inv->warmup();
+  for (int i = 0; i < 120; ++i) {
+    submit_at(*inv, 0.01 * i, static_cast<workload::FunctionId>(i % 11), i);
+  }
+  engine_.run();
+  EXPECT_EQ(delivered_.size(), 120u);
+  EXPECT_GT(inv->stats().cold_starts, 0u);
+  EXPECT_GT(inv->stats().evictions, 0u);
+  expect_drained(*inv);
+}
 
 }  // namespace
 }  // namespace whisk::node
